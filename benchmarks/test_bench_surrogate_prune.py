@@ -5,7 +5,9 @@ with the queueing surrogate costs milliseconds (pure arithmetic over a
 features bundle) while simulating it costs seconds, so pruning the
 predictably-bad 75% of a large one-(device, task) grid should shrink
 the sweep by nearly 4x.  This benchmark times an exhaustive serial
-sweep and a ``prune_fraction=0.75`` sweep over the same ~49-cell grid —
+sweep and a 75 % prune — the one-rung halving ladder
+``HalvingConfig(rungs=1, keep_fraction=0.25)``, which is what the CLI's
+``--prune-fraction 0.75`` runs — over the same ~49-cell grid —
 nine registered systems plus CoServe configuration variants (scheduler
 latency, executor counts, expert-placement fractions) on (numa, A1) —
 and asserts:
@@ -30,7 +32,7 @@ import time
 
 from recorder import BENCH_SWEEPS_FILE, record_bench_result
 from repro.experiments.base import EvaluationSettings
-from repro.sweeps import SweepCell, SweepGrid, SweepRunner
+from repro.sweeps import HalvingConfig, HalvingRunner, SweepCell, SweepGrid, SweepRunner
 
 #: Required wall-clock reduction of the pruned sweep (the ISSUE's floor).
 MIN_PRUNE_SPEEDUP = 3.0
@@ -137,7 +139,10 @@ def test_surrogate_prune_speedup():
     exhaustive_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
-    pruned_runner = SweepRunner(settings=settings, prune_fraction=PRUNE_FRACTION)
+    pruned_runner = HalvingRunner(
+        settings=settings,
+        config=HalvingConfig(rungs=1, keep_fraction=1.0 - PRUNE_FRACTION),
+    )
     pruned = pruned_runner.run(grid)
     pruned_elapsed = time.perf_counter() - start
 

@@ -1,15 +1,17 @@
 """Benchmark: guided successive-halving sweep vs one-shot pruning.
 
 The tentpole claim of the guided sweep is wall-clock at equal
-confidence: to hand back a *measured* top-k of a large grid, the PR 7
+confidence: to hand back a *measured* top-k of a large grid, the
 one-shot prune must simulate every rung-0 survivor at full fidelity,
 while the halving ladder first measures those survivors at a cheap
 reduced request count and only escalates the measured-best fraction to
 full fidelity.  Both pipelines here end with the same number of
 full-fidelity finalists (k = 13 of a 49-cell (numa, B2) grid):
 
-- **one-shot** — ``prune_fraction=0.49`` keeps 25 cells, all simulated
-  at full fidelity, then ranked on measured makespan and cut to 13;
+- **one-shot** — the one-rung ladder ``HalvingConfig(rungs=1,
+  keep_fraction=0.51)`` (the CLI's ``--prune-fraction 0.49``) keeps 25
+  cells, all simulated at full fidelity, then ranked on measured
+  makespan and cut to 13;
 - **halving** — ``HalvingConfig(rungs=2, keep_fraction=0.51,
   min_requests=150)`` keeps the same 25 past rung 0, measures them at
   150 requests, and simulates only the measured-best 13 at full
@@ -49,10 +51,11 @@ from repro.sweeps.worker import spawn_local_workers
 #: equal final top-k (the ISSUE's floor; ~1.9x measured).
 MIN_HALVING_SPEEDUP = 1.5
 
-#: One-shot keeps int(49 * 0.49) = 24 pruned -> 25 survivors; halving
-#: keeps ceil(49 * 0.51) = 25 past rung 0 and ceil(25 * 0.51) = 13 past
-#: the measured rung, so both pipelines produce a measured top-13.
-ONE_SHOT_PRUNE_FRACTION = 0.49
+#: Both ladders keep ceil(49 * 0.51) = 25 past rung 0; the one-shot
+#: ladder simulates all 25 at full fidelity, the halving ladder keeps
+#: ceil(25 * 0.51) = 13 past its measured rung, so both pipelines
+#: produce a measured top-13.
+ONE_SHOT_CONFIG = HalvingConfig(rungs=1, keep_fraction=0.51)
 HALVING_CONFIG = HalvingConfig(rungs=2, keep_fraction=0.51, min_requests=150)
 FINAL_TOP_K = 13
 
@@ -78,7 +81,7 @@ def _settings(reduced_requests: int = 3500) -> EvaluationSettings:
 
 
 def _large_grid() -> SweepGrid:
-    """The PR 7 benchmark's ~49-cell (numa, B2) grid, reused verbatim.
+    """The surrogate-prune benchmark's ~49-cell (numa, B2) grid, reused verbatim.
 
     One (device, task) pair keeps board/model/matrix profiling identical
     across the timed runs, so the measured difference is purely how many
@@ -164,9 +167,7 @@ def test_halving_speedup_over_one_shot_prune():
     _warm_caches()
 
     start = time.perf_counter()
-    one_shot = SweepRunner(
-        settings=settings, prune_fraction=ONE_SHOT_PRUNE_FRACTION
-    ).run(grid)
+    one_shot = HalvingRunner(settings=settings, config=ONE_SHOT_CONFIG).run(grid)
     one_shot_elapsed = time.perf_counter() - start
     one_shot_simulated = [cell for cell in grid if not one_shot.is_pruned(cell)]
     one_shot_top = _measured_top_k(one_shot, grid, FINAL_TOP_K)

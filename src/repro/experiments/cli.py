@@ -150,20 +150,20 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="F",
-        help="Two-stage sweep: score every cell with the queueing surrogate "
-        "first and skip the fraction F of each (device, task) group with the "
-        "worst predicted tail latency. Pruned cells keep an aborted "
-        "placeholder row carrying the prediction (default: 0 = simulate "
-        "everything).",
+        help="One-shot pruned sweep (a one-rung halving ladder): score every "
+        "cell with the queueing surrogate first and skip the fraction F of "
+        "each (device, task) group with the worst predicted tail latency. "
+        "Pruned cells keep an aborted placeholder row carrying the "
+        "prediction (default: 0 = simulate everything).",
     )
     parser.add_argument(
         "--prune-slo-ms",
         type=float,
         default=None,
         metavar="MS",
-        help="Two-stage sweep, absolute variant: skip any cell whose "
-        "surrogate-predicted p99 latency exceeds MS. Composes with "
-        "--prune-fraction and with per-cell SLO early aborts.",
+        help="One-shot pruned sweep, absolute variant: skip any cell whose "
+        "surrogate-predicted --prune-percentile latency exceeds MS. Composes "
+        "with --prune-fraction and with per-cell SLO early aborts.",
     )
     parser.add_argument(
         "--prune-percentile",
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=99.0,
         metavar="P",
         help="Latency percentile the surrogate rankings read, for both the "
-        "two-stage pruning rules and a guided sweep's rung-0 scoring "
+        "one-shot pruning rules and a guided sweep's rung-0 scoring "
         "(default: 99, the paper's SLO percentile). Must be within (0, 100].",
     )
     parser.add_argument(
@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate survivors at reduced request counts, re-rank them on "
         "measured makespans and recalibrate the surrogate; rung N runs the "
         "finalists at full fidelity, byte-identical to an exhaustive run. "
-        "Mutually exclusive with --prune-fraction/--prune-slo-ms.",
+        "Mutually exclusive with --prune-fraction/--prune-slo-ms (the "
+        "one-rung ladder).",
     )
     parser.add_argument(
         "--halving-keep-fraction",
@@ -247,9 +248,6 @@ def run_experiments(
     cache_dir: Optional[str] = None,
     progress: bool = False,
     hosts: Optional[Sequence[str]] = None,
-    prune_fraction: float = 0.0,
-    prune_slo_ms: Optional[float] = None,
-    prune_percentile: float = 99.0,
     halving: Optional[HalvingConfig] = None,
     results: Optional[SweepResults] = None,
 ) -> List[Tuple[str, ExperimentResult, float]]:
@@ -266,47 +264,32 @@ def run_experiments(
     individual run functions (e.g. a smaller ``sample_size`` for the
     offline-tuning figures).  ``cache_dir`` backs the sweep with an
     on-disk cell cache; ``progress`` streams live cell/row counts to
-    stderr via the runner's ``run_iter``.  ``prune_fraction`` /
-    ``prune_slo_ms`` turn the sweep two-stage: the queueing surrogate
-    scores every cell and only the survivors are fully simulated
-    (pruned cells keep aborted placeholder rows carrying predictions);
-    both rules rank on the surrogate's ``prune_percentile`` latency.
-    ``halving`` replaces the one-shot cut with the successive-halving
-    scheduler (:class:`~repro.sweeps.halving.HalvingRunner`): measured
-    low-fidelity rungs re-rank survivors and recalibrate the surrogate
-    before the final full-fidelity rung.  Passing ``results`` lets the
-    caller keep the shared store afterwards — a guided sweep leaves its
+    stderr via the runner's ``run_iter``.  ``halving`` runs the grid
+    through the surrogate-guided successive-halving scheduler
+    (:class:`~repro.sweeps.halving.HalvingRunner`): the queueing
+    surrogate scores every cell, dropped cells keep aborted placeholder
+    rows carrying predictions, measured low-fidelity rungs (if any)
+    re-rank survivors and recalibrate the surrogate, and the final rung
+    simulates at full fidelity.  A one-rung config is the one-shot
+    prune.  Passing ``results`` lets the caller keep the shared store
+    afterwards — a guided sweep leaves its
     :attr:`~repro.sweeps.results.SweepResults.drift_report` there.
     """
     context = EvaluationContext(settings)
     grid = collect_grid(names, settings)
     cache = SweepCache(cache_dir, settings) if cache_dir else None
-    runner: "SweepRunner | HalvingRunner"
-    if halving is not None:
-        if hosts is not None:
-            runner = HalvingRunner(
-                settings=settings, jobs=jobs, hosts=hosts, cache=cache, config=halving
-            )
-        elif jobs > 1:
-            runner = HalvingRunner(settings=settings, jobs=jobs, cache=cache, config=halving)
-        else:
-            runner = HalvingRunner(context=context, cache=cache, config=halving)
+    runner_cls = SweepRunner if halving is None else HalvingRunner
+    guide = {} if halving is None else {"config": halving}
+    if hosts is not None:
+        # jobs is forwarded so a conflicting jobs>1 raises the runner's
+        # mutual-exclusion error instead of being silently dropped, and
+        # an *empty* hosts value is rejected loudly by the runner rather
+        # than falling back to a serial sweep.
+        runner = runner_cls(settings=settings, jobs=jobs, hosts=hosts, cache=cache, **guide)
+    elif jobs > 1:
+        runner = runner_cls(settings=settings, jobs=jobs, cache=cache, **guide)
     else:
-        prune = {
-            "prune_fraction": prune_fraction,
-            "prune_slo_ms": prune_slo_ms,
-            "prune_percentile": prune_percentile,
-        }
-        if hosts is not None:
-            # jobs is forwarded so a conflicting jobs>1 raises the runner's
-            # mutual-exclusion error instead of being silently dropped, and
-            # an *empty* hosts value is rejected loudly by the runner rather
-            # than falling back to a serial sweep.
-            runner = SweepRunner(settings=settings, jobs=jobs, hosts=hosts, cache=cache, **prune)
-        elif jobs > 1:
-            runner = SweepRunner(settings=settings, jobs=jobs, cache=cache, **prune)
-        else:
-            runner = SweepRunner(context=context, cache=cache, **prune)
+        runner = runner_cls(context=context, cache=cache, **guide)
     results = results if results is not None else SweepResults()
     if progress:
         total = len(grid)
@@ -372,8 +355,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if arguments.prune_fraction > 0.0 or arguments.prune_slo_ms is not None:
             parser.error(
                 "--halving-rungs and --prune-fraction/--prune-slo-ms are "
-                "mutually exclusive: the rung-0 surrogate cut subsumes "
-                "one-shot pruning"
+                "mutually exclusive: the prune flags select a one-rung "
+                "halving ladder"
             )
         try:
             halving = HalvingConfig(
@@ -384,6 +367,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         except ValueError as exc:
             parser.error(f"--halving-rungs/--halving-keep-fraction/--halving-min-requests: {exc}")
+    elif arguments.prune_fraction > 0.0 or arguments.prune_slo_ms is not None:
+        # The one-shot prune is a one-rung ladder: the rung-0 surrogate
+        # cut, then the survivors at full fidelity.
+        halving = HalvingConfig(
+            rungs=1,
+            keep_fraction=1.0 - arguments.prune_fraction,
+            percentile=arguments.prune_percentile,
+            slo_ms=arguments.prune_slo_ms,
+        )
 
     settings = EvaluationSettings(
         full_scale=arguments.full_scale,
@@ -402,9 +394,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache_dir=arguments.cache,
         progress=arguments.progress,
         hosts=arguments.hosts,
-        prune_fraction=arguments.prune_fraction,
-        prune_slo_ms=arguments.prune_slo_ms,
-        prune_percentile=arguments.prune_percentile,
         halving=halving,
         results=results,
     )

@@ -22,14 +22,14 @@ Three modules:
   :class:`~repro.surrogate.validation.DriftReport` guided sweeps use to
   surface predicted-vs-measured drift per rung.
 
-The sweep layer consumes this package through
-:class:`~repro.sweeps.runner.SweepRunner`'s two-stage pruning knobs
-(``prune_fraction`` / ``prune_slo_ms``) and through
+The sweep layer consumes this package in one place:
 :class:`~repro.sweeps.halving.HalvingRunner`, the successive-halving
-scheduler that re-ranks on measured rung rows and refits the model's
-calibration constants via
+scheduler whose rung 0 ranks cells on this model's predictions (a
+one-rung ladder is the one-shot prune behind the CLI's
+``--prune-fraction`` / ``--prune-slo-ms``) and whose measured rungs
+refit the model's calibration constants via
 :meth:`~repro.surrogate.model.QueueingSurrogate.recalibrated`; see the
-"Two-stage pruned sweeps" and "Guided successive-halving sweeps"
+"One-shot pruned sweeps" and "Guided successive-halving sweeps"
 sections of ``docs/sweeps.md``.
 """
 

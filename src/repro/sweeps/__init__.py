@@ -21,16 +21,16 @@ data:
   as the shared result store of distributed sweeps (workers write, the
   coordinator verifies-on-load).
 
-Two-stage sweeps (``SweepRunner(prune_fraction=..., prune_slo_ms=...)``)
-insert :mod:`repro.surrogate`'s queueing model between the cache and the
-executor: every missing cell is scored analytically, predictably-bad
-cells are pruned (aborted placeholder results, never simulated, never
-cached), and only the survivors pay for full simulation.
-:class:`HalvingRunner` (:mod:`repro.sweeps.halving`) generalises the
-one-shot cut into a successive-halving rung ladder: surrogate scoring,
-then measured low-fidelity rungs (reduced ``num_requests`` overrides)
-that re-rank survivors and recalibrate the surrogate, then a final
-full-fidelity rung byte-identical to an exhaustive run.
+Surrogate-guided sweeps run through :class:`HalvingRunner`
+(:mod:`repro.sweeps.halving`), a successive-halving rung ladder on top
+of :class:`SweepRunner`: rung 0 scores every cell with
+:mod:`repro.surrogate`'s queueing model and drops the predictably-bad
+ones (aborted placeholder results, never simulated, never cached),
+optional measured low-fidelity rungs (reduced ``num_requests``
+overrides) re-rank survivors and recalibrate the surrogate, and a
+final full-fidelity rung is byte-identical to an exhaustive run.  A
+one-rung ladder (``HalvingConfig(rungs=1, keep_fraction=1 - f)``) is
+the one-shot prune.
 
 The distributed worker process lives in :mod:`repro.sweeps.worker`
 (console script ``coserve-sweep-worker``); ``docs/sweeps.md`` has a

@@ -43,8 +43,8 @@ PRUNED_ABORT_PREFIX = "pruned by surrogate"
 #: that is not captured by the settings fingerprint) changes.
 #: 2: ``SimulationResult`` grew ``aborted``/``abort_reason`` (sweep-level
 #: early aborts); entries pickled under the old layout must miss.
-#: 3: payloads carry the cell's surrogate ``estimate`` (two-stage pruned
-#: sweeps persist predictions next to results; pruned placeholders are
+#: 3: payloads carry the cell's surrogate ``estimate`` (guided sweeps
+#: persist predictions next to results; pruned placeholders are
 #: never cached, so every entry remains a genuinely simulated cell).
 CACHE_FORMAT_VERSION = 3
 
@@ -182,7 +182,7 @@ class SweepCache:
     ) -> None:
         """Persist one cell's result (atomic, last writer wins).
 
-        ``estimate`` carries the surrogate prediction of a two-stage
+        ``estimate`` carries the surrogate prediction of a guided
         sweep so later regenerations can surface predicted-vs-simulated
         deltas without re-scoring; pruned placeholders must never reach
         this method — only genuinely simulated results are cacheable.

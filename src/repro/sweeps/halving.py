@@ -1,12 +1,12 @@
 """Guided multi-fidelity sweeps: the successive-halving scheduler.
 
-PR 7's two-stage filter spends the surrogate's prediction exactly once:
-cells it keeps are simulated at full request count, and a cell the
-surrogate mis-ranks is either wastefully simulated or wrongly dropped.
-:class:`HalvingRunner` turns that one-shot cut into a *rung ladder*:
+This is the one place where the queueing surrogate steers which cells
+a sweep simulates.  :class:`HalvingRunner` runs a grid through a *rung
+ladder*:
 
 1. **Rung 0 (free)** — every cell is scored by the
-   :class:`~repro.surrogate.model.QueueingSurrogate`; each
+   :class:`~repro.surrogate.model.QueueingSurrogate`; cells predicted
+   to miss the optional ``slo_ms`` target are dropped, then each
    (device, task) group keeps its predicted-best ``keep_fraction``.
 2. **Low-fidelity rungs** — survivors are simulated at a reduced
    request count (geometrically escalating from ``min_requests`` toward
@@ -24,16 +24,23 @@ surrogate mis-ranks is either wastefully simulated or wrongly dropped.
 3. **Final rung** — the remaining cells run at full fidelity with no
    override, byte-identical to an exhaustive run of the same cells.
 
-Dropped cells keep the two-stage path's aborted placeholder rows
-(never cached), annotated with the rung that dropped them; pinned
-cells ride through every rung un-droppable.  A
+A one-rung ladder (``rungs=1``) is the one-shot surrogate prune: the
+experiments CLI turns ``--prune-fraction f`` / ``--prune-slo-ms`` into
+``HalvingConfig(rungs=1, keep_fraction=1 - f, slo_ms=...)``.
+
+Dropped cells keep aborted placeholder rows (never cached), annotated
+with the rung that dropped them; pinned cells ride through every rung
+un-droppable.  The cache is read only through each rung's
+:meth:`~repro.sweeps.runner.SweepRunner.run_iter`, never to decide what
+gets ranked, so the rows depend on the grid, the settings and the
+config alone — a warm rerun returns the cold run's rows.  A
 :class:`~repro.surrogate.validation.DriftReport` recording
 predicted-vs-measured error per rung lands on the results store
 (:attr:`~repro.sweeps.results.SweepResults.drift_report`) and flows
 into the CLI's figure tables and JSON output.
 
-Compared to one-shot pruning at the same final cell count, the ladder
-buys its confidence cheaply: ranking mistakes are corrected by
+Compared to a one-rung ladder at the same final cell count, a measured
+rung buys its confidence cheaply: ranking mistakes are corrected by
 low-fidelity *measurements* costing a few percent of a full simulation,
 so the full-fidelity budget shrinks to the genuinely contested cells —
 ``benchmarks/test_bench_sweep_halving.py`` guards the resulting
@@ -54,14 +61,48 @@ from repro.surrogate import (
     extract_features,
     rung_drift,
 )
-from repro.sweeps.cache import SweepCache
+from repro.sweeps.cache import PRUNED_ABORT_PREFIX, SweepCache
 from repro.sweeps.results import SweepResults
-from repro.sweeps.runner import SweepExecutor, SweepRunner, _pruned_placeholder
+from repro.sweeps.runner import SerialExecutor, SweepExecutor, SweepRunner
 from repro.sweeps.spec import CellKey, SweepCell, SweepGrid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.base import EvaluationContext, EvaluationSettings
     from repro.surrogate.features import CellFeatures
+    from repro.surrogate.model import SurrogateEstimate
+
+
+def _pruned_placeholder(
+    cell: SweepCell,
+    features: "CellFeatures",
+    estimate: "SurrogateEstimate",
+    reason: str,
+) -> SimulationResult:
+    """A synthetic aborted result standing in for a dropped cell's run.
+
+    The whole-run aggregates are the surrogate's predictions (so reports
+    still show a ranked number for the cell) and the per-executor
+    breakdown is empty — nothing was simulated at full fidelity.  The
+    ``abort_reason`` prefix is what :meth:`SweepCache.store` refuses,
+    keeping placeholders out of the on-disk cache.
+    """
+    return SimulationResult(
+        system_name=cell.system,
+        device_name=cell.device,
+        workload_name=cell.task,
+        num_requests=features.num_requests,
+        makespan_ms=estimate.makespan_ms,
+        total_execution_ms=estimate.exec_work_ms,
+        total_switching_ms=estimate.switch_work_ms,
+        total_scheduling_ms=estimate.sched_work_ms,
+        expert_loads=estimate.predicted_loads,
+        expert_switches=estimate.predicted_loads,
+        loads_from_ssd=0,
+        loads_from_cache=0,
+        executors=(),
+        aborted=True,
+        abort_reason=f"{PRUNED_ABORT_PREFIX}: {reason}",
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,8 +112,8 @@ class HalvingConfig:
     Parameters
     ----------
     rungs:
-        Number of *simulated* rungs.  ``1`` degenerates to the one-shot
-        surrogate cut followed by full-fidelity simulation; ``2`` (the
+        Number of *simulated* rungs.  ``1`` is the one-shot surrogate
+        prune: the rung-0 cut, then full fidelity; ``2`` (the
         default) inserts one measured low-fidelity rung between the
         surrogate and the final full-fidelity rung; higher values add
         intermediate fidelities on a geometric ramp.
@@ -80,7 +121,9 @@ class HalvingConfig:
         Fraction of each (device, task) group's unpinned cells escalated
         past each selection point (one after the surrogate scoring, one
         after each low-fidelity rung).  At least one unpinned cell per
-        group always survives; pinned cells are never dropped.
+        group always survives the fractional cut; pinned cells are
+        never dropped.  Each cut keeps ``ceil(unpinned * keep_fraction)``
+        cells.
     min_requests:
         Request count of the cheapest simulated rung.  Later rungs
         escalate geometrically toward each task's full count; a rung
@@ -88,8 +131,15 @@ class HalvingConfig:
         fidelity (no override), and its rows are carried into the final
         rung rather than re-simulated.
     percentile:
-        Latency percentile the rung-0 surrogate ranking reads (the
-        CLI's ``--prune-percentile``; measured rungs rank on makespan).
+        Latency percentile the rung-0 surrogate ranking and ``slo_ms``
+        cut read (the CLI's ``--prune-percentile``; measured rungs rank
+        on makespan).
+    slo_ms:
+        Optional rung-0 SLO cut (the CLI's ``--prune-slo-ms``): every
+        unpinned cell whose predicted ``percentile`` latency exceeds
+        this target is dropped before the fractional cut, which then
+        applies to what remains — an impossible target can drop every
+        unpinned cell of a group.
     recalibrate:
         Refit the surrogate's calibration constants from each measured
         rung's (predicted, measured) pairs.  On by default; disable to
@@ -100,6 +150,7 @@ class HalvingConfig:
     keep_fraction: float = 0.5
     min_requests: int = 150
     percentile: float = 99.0
+    slo_ms: Optional[float] = None
     recalibrate: bool = True
 
     def __post_init__(self) -> None:
@@ -111,6 +162,8 @@ class HalvingConfig:
             raise ValueError("min_requests must be a positive request count")
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError("percentile must be within (0, 100]")
+        if self.slo_ms is not None and self.slo_ms <= 0.0:
+            raise ValueError("slo_ms must be positive")
 
     def request_count(self, rung: int, full_requests: int) -> Optional[int]:
         """The request count of ``rung`` (1-based) for a task's full count.
@@ -157,8 +210,7 @@ class HalvingRunner:
     executes each rung's cells, the same ``cache`` persists every
     genuinely simulated row (full- and low-fidelity alike, under their
     own identities) — plus a :class:`HalvingConfig` describing the
-    ladder.  The one-shot pruning knobs are intentionally absent: the
-    rung-0 surrogate cut subsumes them.
+    ladder.
 
     ``run``/``run_iter`` keep the runner contract: every yielded
     ``(cell, result)`` pair is a cell of the *caller's* grid (cache
@@ -189,7 +241,6 @@ class HalvingRunner:
             executor=executor,
         )
         self.settings = self._runner.settings
-        self.cache = cache
         #: The rung ladder of the most recent ``run``/``run_iter``.
         self.last_schedule: List[RungPlan] = []
 
@@ -199,6 +250,25 @@ class HalvingRunner:
         return self._runner.executor
 
     # ------------------------------------------------------------------
+    def _scoring_context(self) -> "EvaluationContext":
+        """A context for feature extraction (shared with serial executors).
+
+        Feature extraction builds systems but runs no events, so it is
+        milliseconds per cell; sharing the serial executor's context (or
+        seeding it with ours) means the artefacts are built once either
+        way.  Pool/distributed executors keep their own worker contexts
+        — scoring just needs any local one.
+        """
+        from repro.experiments.base import EvaluationContext
+
+        executor = self.executor
+        context = getattr(executor, "_context", None)
+        if context is None:
+            context = EvaluationContext(self.settings)
+            if isinstance(executor, SerialExecutor):
+                executor._context = context
+        return context
+
     def _full_requests(self, context: "EvaluationContext", task_name: str) -> int:
         """A task's full-fidelity request count under the runner's settings."""
         return self.settings.requests_for(context.task(task_name))
@@ -208,21 +278,28 @@ class HalvingRunner:
         alive: List[SweepCell],
         scores: Dict[CellKey, float],
         order: Dict[CellKey, int],
+        limit: Optional[float] = None,
     ) -> Tuple[List[SweepCell], List[SweepCell]]:
         """Split ``alive`` into survivors and dropped cells, per group.
 
         Lower score is better (predicted tail latency on rung 0,
-        measured makespan afterwards).  Each (device, task) group keeps
-        ``ceil(unpinned * keep_fraction)`` of its unpinned cells (at
-        least one) plus every pinned cell; ties break on grid order, so
-        the selection is deterministic and backend-independent.
+        measured makespan afterwards).  Unpinned cells scoring above
+        ``limit`` are dropped outright; of the rest, each (device, task)
+        group keeps ``ceil(unpinned * keep_fraction)`` (at least one)
+        plus every pinned cell.  Ties break on grid order — the earlier
+        cell is kept — so the selection is deterministic and
+        backend-independent.
         """
         groups: Dict[Tuple[str, str], List[SweepCell]] = {}
         for cell in alive:
             groups.setdefault((cell.device, cell.task), []).append(cell)
         kept_keys: Dict[CellKey, None] = {}
         for group in groups.values():
-            unpinned = [cell for cell in group if not cell.pin]
+            unpinned = [
+                cell
+                for cell in group
+                if not cell.pin and (limit is None or scores[cell.key] <= limit)
+            ]
             for cell in group:
                 if cell.pin:
                     kept_keys[cell.key] = None
@@ -251,34 +328,22 @@ class HalvingRunner:
     ) -> Iterator[Tuple[SweepCell, SimulationResult]]:
         """Execute a grid through the ladder, yielding grid cells as resolved.
 
-        Yield order: cache hits first, then each selection point's
-        dropped-cell placeholders as rungs complete, then final-rung
-        rows in the backend's completion order.  Exactly the grid cells
-        missing from ``results`` at entry are yielded, which is what CLI
+        Yield order: each selection point's dropped-cell placeholders as
+        rungs complete, then final-rung rows (cache hits first, then the
+        backend's completion order).  Exactly the grid cells missing
+        from ``results`` at entry are yielded, which is what CLI
         progress counts rely on; low-fidelity rung rows are internal
-        (but cached, so a repeated guided sweep skips its cheap rungs
-        too).
+        (but cached, so a repeated guided sweep simulates nothing).
+        Every missing cell is ranked whether or not the cache holds it,
+        so the rows never depend on what the cache holds.
         """
         results = results if results is not None else SweepResults()
         self.last_schedule = []
         todo = results.missing(grid)
-        if todo and self.cache is not None:
-            remaining: List[SweepCell] = []
-            for cell in todo:
-                entry = self.cache.load_entry(cell)
-                if entry is not None:
-                    cached, estimate = entry
-                    results.add(cell, cached)
-                    if estimate is not None:
-                        results.record_estimate(cell, estimate)
-                    yield cell, cached
-                else:
-                    remaining.append(cell)
-            todo = remaining
         if not todo:
             return
 
-        context = self._runner._scoring_context()
+        context = self._scoring_context()
         surrogate = QueueingSurrogate()
         q = self.config.percentile
         order = {cell.key: index for index, cell in enumerate(todo)}
@@ -297,13 +362,18 @@ class HalvingRunner:
         self.last_schedule.append(
             RungPlan(0, tuple(cell.key for cell in todo), (None,) * len(todo))
         )
-        alive, dropped = self._select(todo, scores, order)
+        slo_ms = self.config.slo_ms
+        alive, dropped = self._select(todo, scores, order, limit=slo_ms)
         for cell in dropped:
-            reason = (
-                f"successive halving dropped it at rung 0: predicted p{q:g} "
-                f"latency {scores[cell.key]:.0f} ms ranks outside the kept "
-                f"{self.config.keep_fraction:.0%} of its (device, task) group"
-            )
+            predicted = f"predicted p{q:g} latency {scores[cell.key]:.0f} ms"
+            if slo_ms is not None and scores[cell.key] > slo_ms:
+                verdict = f"exceeds the {slo_ms:g} ms target"
+            else:
+                verdict = (
+                    f"ranks outside the kept {self.config.keep_fraction:.0%} "
+                    "of its (device, task) group"
+                )
+            reason = f"successive halving dropped it at rung 0: {predicted} {verdict}"
             placeholder = _pruned_placeholder(
                 cell, features_full[cell.key], results.estimate_for(cell), reason
             )

@@ -6,7 +6,7 @@ modules assemble their rows by looking cells up here instead of calling
 the simulator directly, which is what lets one execution of the unioned
 grid feed every figure.
 
-Two-stage (surrogate-pruned) sweeps annotate the store further: every
+Surrogate-guided sweeps (pruned or halving) annotate the store further: every
 scored cell can carry its
 :class:`~repro.surrogate.model.SurrogateEstimate` alongside the
 simulated result, and cells the surrogate pruned are marked so reports

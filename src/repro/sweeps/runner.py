@@ -40,6 +40,11 @@ simulated under the same settings fingerprint are loaded from disk
 (and yielded immediately) instead of re-executed, and every newly
 computed cell is persisted — repeated figure regenerations across
 processes skip all shared work.
+
+The runner is the cache-and-executor layer only: surrogate-guided cell
+selection (the one-shot prune and the successive-halving ladder) lives
+one layer up, in :class:`~repro.sweeps.halving.HalvingRunner`, which
+runs each rung through this runner.
 """
 
 from __future__ import annotations
@@ -52,14 +57,12 @@ from repro.serving.factory import build_system
 from repro.simulation.results import SimulationResult
 from repro.simulation.session import SimulationAborted
 from repro.simulation.slo import SLOMonitor
-from repro.sweeps.cache import PRUNED_ABORT_PREFIX, SweepCache
+from repro.sweeps.cache import SweepCache
 from repro.sweeps.results import SweepResults
-from repro.sweeps.spec import FIDELITY_OVERRIDE_KEY, CellKey, SweepCell, SweepGrid
+from repro.sweeps.spec import FIDELITY_OVERRIDE_KEY, SweepCell, SweepGrid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.base import EvaluationContext, EvaluationSettings
-    from repro.surrogate.features import CellFeatures
-    from repro.surrogate.model import SurrogateEstimate
 
 
 def _experiments_base():
@@ -157,39 +160,6 @@ def execute_cell(
     if not keep_requests and result.requests:
         result = dataclasses.replace(result, requests=())
     return result
-
-
-def _pruned_placeholder(
-    cell: SweepCell,
-    features: "CellFeatures",
-    estimate: "SurrogateEstimate",
-    reason: str,
-) -> SimulationResult:
-    """A synthetic aborted result standing in for a pruned cell's run.
-
-    The whole-run aggregates are the surrogate's predictions (so reports
-    still show a ranked number for the cell) and the per-executor
-    breakdown is empty — nothing was simulated.  The ``abort_reason``
-    prefix is what :meth:`SweepCache.store` refuses, keeping placeholders
-    out of the on-disk cache.
-    """
-    return SimulationResult(
-        system_name=cell.system,
-        device_name=cell.device,
-        workload_name=cell.task,
-        num_requests=features.num_requests,
-        makespan_ms=estimate.makespan_ms,
-        total_execution_ms=estimate.exec_work_ms,
-        total_switching_ms=estimate.switch_work_ms,
-        total_scheduling_ms=estimate.sched_work_ms,
-        expert_loads=estimate.predicted_loads,
-        expert_switches=estimate.predicted_loads,
-        loads_from_ssd=0,
-        loads_from_cache=0,
-        executors=(),
-        aborted=True,
-        abort_reason=f"{PRUNED_ABORT_PREFIX}: {reason}",
-    )
 
 
 def batch_cells(cells: Sequence[SweepCell], parts: int) -> List[List[SweepCell]]:
@@ -361,25 +331,6 @@ class SweepRunner:
     executor:
         Escape hatch: run on this pre-built :class:`SweepExecutor`
         instead of constructing one from ``jobs``/``hosts``.
-    prune_fraction:
-        Two-stage mode: before simulating, score every still-missing
-        cell with the queueing surrogate and prune this fraction of
-        each (device, task) group — the cells with the *worst* predicted
-        latency at ``prune_percentile``.  Pruned cells receive an
-        aborted placeholder result carrying the prediction; they are
-        never simulated and never cached.  ``0.0`` (the default)
-        disables ranking-based pruning.  Cells with ``pin=True`` are
-        exempt.
-    prune_slo_ms:
-        Two-stage mode, absolute variant: prune any unpinned cell whose
-        predicted latency at ``prune_percentile`` exceeds this target.
-        Composes with ``prune_fraction`` (the SLO cut runs first, the
-        fractional cut applies to what remains) and with per-cell
-        ``slo_target_ms`` overrides (surviving SLO cells still run under
-        their early-abort monitor).
-    prune_percentile:
-        The latency percentile both pruning rules read from the
-        surrogate estimate (default 99, the paper's SLO percentile).
     """
 
     def __init__(
@@ -391,9 +342,6 @@ class SweepRunner:
         cache: Optional[SweepCache] = None,
         hosts: Optional[Sequence[str]] = None,
         executor: Optional[SweepExecutor] = None,
-        prune_fraction: float = 0.0,
-        prune_slo_ms: Optional[float] = None,
-        prune_percentile: float = 99.0,
     ) -> None:
         if context is not None and settings is None:
             settings = context.settings
@@ -432,15 +380,6 @@ class SweepRunner:
                 "the sweep cache stores request-stripped results and cannot back "
                 "an executor configured with keep_requests"
             )
-        if not 0.0 <= prune_fraction < 1.0:
-            raise ValueError("prune_fraction must be within [0, 1)")
-        if prune_slo_ms is not None and prune_slo_ms <= 0.0:
-            raise ValueError("prune_slo_ms must be positive")
-        if not 0.0 < prune_percentile <= 100.0:
-            raise ValueError("prune_percentile must be within (0, 100]")
-        self.prune_fraction = float(prune_fraction)
-        self.prune_slo_ms = None if prune_slo_ms is None else float(prune_slo_ms)
-        self.prune_percentile = float(prune_percentile)
         self.cache = cache
         if executor is not None:
             self._executor = executor
@@ -460,92 +399,6 @@ class SweepRunner:
         """The executor this runner drives (picked from jobs/hosts, or given)."""
         return self._executor
 
-    @property
-    def pruning_enabled(self) -> bool:
-        """Whether this runner runs the surrogate stage before simulating."""
-        return self.prune_fraction > 0.0 or self.prune_slo_ms is not None
-
-    # ------------------------------------------------------------------
-    # Two-stage pruning: score cells analytically, simulate survivors.
-    # ------------------------------------------------------------------
-    def _scoring_context(self) -> EvaluationContext:
-        """A context for feature extraction (shared with serial executors).
-
-        Feature extraction builds systems but runs no events, so it is
-        milliseconds per cell; sharing the serial executor's context (or
-        seeding it with ours) means the artefacts are built once either
-        way.  Pool/distributed executors keep their own worker contexts
-        — scoring just needs any local one.
-        """
-        executor = self._executor
-        context = getattr(executor, "_context", None)
-        if context is None:
-            context = _experiments_base()[0](self.settings)
-            if isinstance(executor, SerialExecutor):
-                executor._context = context
-        return context
-
-    def _surrogate_pass(
-        self, todo: Sequence[SweepCell], results: SweepResults
-    ) -> Tuple[
-        List[SweepCell],
-        List[Tuple[SweepCell, "CellFeatures", "SurrogateEstimate", str]],
-    ]:
-        """Score ``todo`` and split it into survivors and pruned cells.
-
-        Every scored cell's estimate is recorded on ``results`` (pruned
-        or not); the returned pruned list carries the human-readable
-        reason each cell was cut.  Imported lazily for the same
-        import-cycle reason as :func:`_experiments_base` —
-        ``repro.surrogate`` pulls in the experiments layer.
-        """
-        from repro.surrogate import QueueingSurrogate, extract_features
-
-        context = self._scoring_context()
-        surrogate = QueueingSurrogate()
-        scored = []
-        for cell in todo:
-            features = extract_features(context, cell)
-            estimate = surrogate.estimate(features)
-            results.record_estimate(cell, estimate)
-            scored.append((cell, features, estimate))
-        q = self.prune_percentile
-        pruned: Dict[CellKey, str] = {}
-        if self.prune_slo_ms is not None:
-            for cell, _, estimate in scored:
-                predicted = estimate.latency_ms(q)
-                if not cell.pin and predicted > self.prune_slo_ms:
-                    pruned[cell.key] = (
-                        f"predicted p{q:g} latency {predicted:.0f} ms exceeds "
-                        f"the {self.prune_slo_ms:g} ms target"
-                    )
-        if self.prune_fraction > 0.0:
-            groups: Dict[Tuple[str, str], List[Tuple[SweepCell, float]]] = {}
-            for cell, _, estimate in scored:
-                if cell.pin or cell.key in pruned:
-                    continue
-                groups.setdefault((cell.device, cell.task), []).append(
-                    (cell, estimate.latency_ms(q))
-                )
-            for group in groups.values():
-                count = int(len(group) * self.prune_fraction)
-                if count <= 0:
-                    continue
-                group.sort(key=lambda pair: pair[1], reverse=True)
-                for cell, predicted in group[:count]:
-                    pruned[cell.key] = (
-                        f"predicted p{q:g} latency {predicted:.0f} ms ranks in "
-                        f"the worst {self.prune_fraction:.0%} of its "
-                        "(device, task) group"
-                    )
-        survivors = [cell for cell, _, _ in scored if cell.key not in pruned]
-        placeholders = [
-            (cell, features, estimate, pruned[cell.key])
-            for cell, features, estimate in scored
-            if cell.key in pruned
-        ]
-        return survivors, placeholders
-
     # ------------------------------------------------------------------
     def run(self, grid: SweepGrid, results: Optional[SweepResults] = None) -> SweepResults:
         """Execute every cell of ``grid`` not already present in ``results``."""
@@ -560,7 +413,9 @@ class SweepRunner:
         """Execute a grid, yielding ``(cell, result)`` as cells complete.
 
         Cells already present in ``results`` are skipped (not yielded);
-        cache hits are yielded up front, before any simulation starts.
+        cache hits are yielded up front, before any simulation starts,
+        and restore their persisted surrogate estimate unless
+        ``results`` already holds one for the cell.
         Serial runs yield in grid order; parallel and distributed runs
         yield in completion order.  Every yielded pair has already been
         added to ``results``, so an abandoned iterator leaves a
@@ -569,14 +424,6 @@ class SweepRunner:
         results but before acknowledging its lease, so surviving workers
         re-executed the cells) are idempotent: the first result for a
         cell key wins and later copies are neither stored nor yielded.
-
-        Two-stage runners (``prune_fraction``/``prune_slo_ms``) insert a
-        surrogate stage between cache preload and execution: every
-        still-missing cell is scored analytically, pruned cells yield an
-        aborted placeholder carrying the prediction (marked via
-        :meth:`SweepResults.mark_pruned`, never cached), and only the
-        survivors reach the executor — whose results stay byte-identical
-        to an exhaustive run's.
         """
         results = results if results is not None else SweepResults()
         todo = results.missing(grid)
@@ -588,7 +435,10 @@ class SweepRunner:
                 if entry is not None:
                     cached, estimate = entry
                     results.add(cell, cached)
-                    if estimate is not None:
+                    # A caller's fresh score (a guided sweep's) wins
+                    # over the persisted one, so a cache hit changes
+                    # nothing the caller computed.
+                    if estimate is not None and results.estimate_for(cell) is None:
                         results.record_estimate(cell, estimate)
                     yield cell, cached
                 else:
@@ -600,13 +450,6 @@ class SweepRunner:
                         repair.add(cell.key)
                     remaining.append(cell)
             todo = remaining
-        if todo and self.pruning_enabled:
-            todo, placeholders = self._surrogate_pass(todo, results)
-            for cell, features, estimate, reason in placeholders:
-                placeholder = _pruned_placeholder(cell, features, estimate, reason)
-                if results.add(cell, placeholder):
-                    results.mark_pruned(cell)
-                    yield cell, placeholder
         if not todo:
             return
         for cell, result in self._executor.run_iter(todo):

@@ -44,10 +44,11 @@ class SweepCell:
     task: str
     overrides: Tuple[Tuple[str, object], ...] = ()
     tags: Tuple[str, ...] = ()
-    #: Exempt from surrogate pruning (see ``SweepRunner``'s
-    #: ``prune_fraction``/``prune_slo_ms``): a pinned cell is always
-    #: fully simulated.  Excluded from identity — a pinned cell and its
-    #: unpinned twin are the same simulation.
+    #: Exempt from surrogate pruning (every rung of a
+    #: :class:`~repro.sweeps.halving.HalvingRunner` ladder, the one-rung
+    #: prune included): a pinned cell is always fully simulated.
+    #: Excluded from identity — a pinned cell and its unpinned twin are
+    #: the same simulation.
     pin: bool = False
 
     @classmethod

@@ -1,60 +1,44 @@
 """The documentation gate: public names in the documented packages
 must carry docstrings.
 
-CI runs ``tools/check_docstrings.py`` as its own step (so a missing
-docstring fails with a focused report); this test runs the same checker
-under the tier-1 suite so the gate also bites locally, before push.
-The gated surfaces are the ones ``docs/`` leans on most: the whole
-sweep subsystem and the simulation session API.
+The gate is lint rule RL008 (``repro.lint.checkers.docstrings``); CI
+runs it inside ``coserve-lint``.  This test runs the same rule
+in-process under the tier-1 suite so the gate also bites locally,
+before push.  The rule scopes itself to the surfaces ``docs/`` leans on
+most (``GATED_PREFIXES``): the sweep subsystem, the surrogate, the
+simulation session API and the analyzer itself.  The flagging of a
+missing docstring is pinned in ``tests/test_lint.py``.
 """
 
 import os
-import subprocess
-import sys
+import textwrap
+
+from repro.lint import FileContext, LintRunner, default_checkers
+from repro.lint.checkers.docstrings import check_tree
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Paths the documentation suite gates, relative to the repository root.
-GATED_PATHS = ("src/repro/sweeps", "src/repro/surrogate", "src/repro/simulation/session.py")
-
 
 def test_gated_packages_have_full_public_docstrings():
-    process = subprocess.run(
-        [sys.executable, os.path.join("tools", "check_docstrings.py"), *GATED_PATHS],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-    )
-    assert process.returncode == 0, (
+    report = LintRunner(default_checkers(["RL008"])).run([os.path.join(REPO_ROOT, "src")])
+    problems = [f"{d.path}:{d.line}: {d.message}" for d in report.diagnostics]
+    assert report.ok, (
         "public names without docstrings (see docs/README.md for the "
-        f"documentation contract):\n{process.stdout}{process.stderr}"
+        "documentation contract):\n" + "\n".join(problems + report.errors)
     )
 
 
-def test_checker_flags_a_missing_docstring(tmp_path):
-    offender = tmp_path / "offender.py"
-    offender.write_text('"""Module docstring present."""\n\ndef public_function():\n    pass\n')
-    process = subprocess.run(
-        [sys.executable, os.path.join("tools", "check_docstrings.py"), str(offender)],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-    )
-    assert process.returncode == 1
-    assert "public_function" in process.stdout
+def test_checker_ignores_private_names():
+    source = textwrap.dedent(
+        '''
+        """Module docstring present."""
 
+        def _helper():
+            pass
 
-def test_checker_ignores_private_names(tmp_path):
-    module = tmp_path / "private.py"
-    module.write_text(
-        '"""Module docstring present."""\n\n'
-        "def _helper():\n    pass\n\n"
-        "class _Internal:\n    def method(self):\n        pass\n"
+        class _Internal:
+            def method(self):
+                pass
+        '''
     )
-    process = subprocess.run(
-        [sys.executable, os.path.join("tools", "check_docstrings.py"), str(module)],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-    )
-    assert process.returncode == 0, process.stdout
+    assert list(check_tree(FileContext("src/repro/sweeps/private.py", source))) == []

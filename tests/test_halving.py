@@ -17,6 +17,7 @@ substitute for exhaustive ones:
    low-fidelity alike) cache and reload normally.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -289,23 +290,50 @@ class TestCacheHygiene:
         with pytest.raises(ValueError, match="refusing to cache"):
             cache.store(dropped, results[dropped])
 
-    def test_second_guided_run_replays_from_cache(self, tmp_path, halving_run):
-        _, serial = halving_run
+    @pytest.mark.parametrize(
+        "config",
+        [_CONFIG, HalvingConfig(rungs=1, keep_fraction=0.5)],
+        ids=["ladder", "one-rung"],
+    )
+    def test_second_guided_run_replays_from_cache(self, tmp_path, config):
         grid = _grid()
+        uncached = HalvingRunner(settings=TINY_SETTINGS, config=config).run(grid)
         cache = SweepCache(str(tmp_path), TINY_SETTINGS)
-        first = HalvingRunner(settings=TINY_SETTINGS, cache=cache, config=_CONFIG).run(grid)
-        assert set(first.pruned_keys()) == set(serial.pruned_keys())
-        # The survivors (and the low-fidelity rung rows, under their own
-        # identities) are cached; a rerun preloads the survivors and only
-        # re-scores/re-drops the placeholder cells.
-        second_cache = SweepCache(str(tmp_path), TINY_SETTINGS)
-        second = HalvingRunner(
-            settings=TINY_SETTINGS, cache=second_cache, config=_CONFIG
-        ).run(grid)
-        assert second_cache.hits >= len(grid) - len(serial.pruned_keys())
+        first_runner = HalvingRunner(settings=TINY_SETTINGS, cache=cache, config=config)
+        first = first_runner.run(grid)
+        # A cache-backed ladder drops the same cells and returns the same
+        # rows as one with no cache at all.
+        assert first.pruned_keys() == uncached.pruned_keys()
         for cell in grid:
-            if not first.is_pruned(cell):
-                assert pickle.dumps(second[cell]) == pickle.dumps(first[cell])
+            assert pickle.dumps(first[cell]) == pickle.dumps(uncached[cell]), cell.label()
+        # Every simulated row (final and low-fidelity alike) is cached,
+        # and the cache never decides what gets ranked: a rerun ranks
+        # the same cells, drops the same ones and simulates nothing.
+        second_cache = SweepCache(str(tmp_path), TINY_SETTINGS)
+        second_runner = HalvingRunner(
+            settings=TINY_SETTINGS, cache=second_cache, config=config
+        )
+        second = second_runner.run(grid)
+        assert second_cache.misses == 0
+        assert second_cache.hits > 0
+        assert second.pruned_keys() == first.pruned_keys()
+        assert second_runner.last_schedule == first_runner.last_schedule
+        for cell in grid:
+            assert pickle.dumps(second[cell]) == pickle.dumps(first[cell]), cell.label()
+            assert second.estimate_for(cell) == first.estimate_for(cell), cell.label()
+
+    def test_cached_estimate_never_replaces_the_ladders_score(self, tmp_path):
+        config = HalvingConfig(rungs=1, keep_fraction=0.5)
+        grid = _grid()
+        cold = HalvingRunner(settings=TINY_SETTINGS, config=config).run(grid)
+        survivor = next(cell for cell in grid if not cold.is_pruned(cell))
+        # A cache entry written under another surrogate calibration.
+        stale = dataclasses.replace(cold.estimate_for(survivor), makespan_ms=1.0)
+        cache = SweepCache(str(tmp_path), TINY_SETTINGS)
+        cache.store(survivor, cold[survivor], stale)
+        warm = HalvingRunner(settings=TINY_SETTINGS, cache=cache, config=config).run(grid)
+        assert cache.hits == 1
+        assert warm.estimate_for(survivor) == cold.estimate_for(survivor)
 
 
 class TestExperimentsCLI:

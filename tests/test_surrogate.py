@@ -1,4 +1,4 @@
-"""Tests for the queueing surrogate and two-stage pruned sweeps.
+"""Tests for the queueing surrogate and one-shot pruned sweeps.
 
 Three contracts pinned here:
 
@@ -8,9 +8,11 @@ Three contracts pinned here:
 2. **Monotonicity** — predictions move the right way as the arrival
    rate changes, by construction; pruning thresholds would be
    meaningless against a non-monotone predictor.
-3. **Pruning semantics** — pinned cells are exempt, surviving cells are
-   byte-identical to an exhaustive run, and pruned placeholders never
-   reach the on-disk cache.
+3. **Pruning semantics** — the one-shot prune is a one-rung halving
+   ladder (``HalvingConfig(rungs=1, keep_fraction=1 - f)``): pinned
+   cells are exempt, surviving cells are byte-identical to an
+   exhaustive run, predicted-latency ties keep the earlier grid cell,
+   and pruned placeholders never reach the on-disk cache.
 """
 
 import pickle
@@ -26,6 +28,8 @@ from repro.surrogate import (
 )
 from repro.sweeps import (
     PRUNED_ABORT_PREFIX,
+    HalvingConfig,
+    HalvingRunner,
     SweepCache,
     SweepCell,
     SweepGrid,
@@ -181,10 +185,16 @@ def exhaustive_results():
     return SweepRunner(settings=TINY_SETTINGS).run(_prune_grid())
 
 
+def _pruning_runner(prune_fraction=0.0, slo_ms=None, cache=None):
+    """The one-shot prune the CLI's ``--prune-fraction``/``--prune-slo-ms`` run."""
+    config = HalvingConfig(rungs=1, keep_fraction=1.0 - prune_fraction, slo_ms=slo_ms)
+    return HalvingRunner(settings=TINY_SETTINGS, cache=cache, config=config)
+
+
 class TestPruning:
     def test_fractional_prune_cuts_the_predicted_worst(self, exhaustive_results):
         grid = _prune_grid()
-        runner = SweepRunner(settings=TINY_SETTINGS, prune_fraction=0.5)
+        runner = _pruning_runner(prune_fraction=0.5)
         results = runner.run(grid)
         assert len(results) == len(grid)
         pruned = [cell for cell in grid if results.is_pruned(cell)]
@@ -206,7 +216,7 @@ class TestPruning:
 
     def test_survivors_are_byte_identical_to_exhaustive(self, exhaustive_results):
         grid = _prune_grid()
-        results = SweepRunner(settings=TINY_SETTINGS, prune_fraction=0.5).run(grid)
+        results = _pruning_runner(prune_fraction=0.5).run(grid)
         for cell in grid:
             if results.is_pruned(cell):
                 continue
@@ -216,10 +226,7 @@ class TestPruning:
 
     def test_pinned_cells_are_exempt(self):
         grid = _prune_grid(pin_first=True)
-        runner = SweepRunner(
-            settings=TINY_SETTINGS, prune_slo_ms=0.001, prune_fraction=0.5
-        )
-        results = runner.run(grid)
+        results = _pruning_runner(prune_fraction=0.5, slo_ms=0.001).run(grid)
         pinned = grid.cells[0]
         assert pinned.pin
         assert not results.is_pruned(pinned)
@@ -229,7 +236,7 @@ class TestPruning:
 
     def test_slo_prune_with_generous_target_prunes_nothing(self):
         grid = _prune_grid()
-        results = SweepRunner(settings=TINY_SETTINGS, prune_slo_ms=1e12).run(grid)
+        results = _pruning_runner(slo_ms=1e12).run(grid)
         assert results.pruned_keys() == []
         for cell in grid:
             assert not results[cell].aborted
@@ -237,8 +244,7 @@ class TestPruning:
     def test_pruned_cells_never_reach_the_cache(self, tmp_path):
         grid = _prune_grid()
         cache = SweepCache(str(tmp_path), TINY_SETTINGS)
-        runner = SweepRunner(settings=TINY_SETTINGS, prune_fraction=0.5, cache=cache)
-        results = runner.run(grid)
+        results = _pruning_runner(prune_fraction=0.5, cache=cache).run(grid)
         for cell in grid:
             if results.is_pruned(cell):
                 assert cache.load(cell) is None, f"{cell.label()} placeholder cached"
@@ -265,9 +271,7 @@ class TestPruning:
     def test_cached_estimates_are_restored_on_reload(self, tmp_path):
         grid = _prune_grid()
         cache = SweepCache(str(tmp_path), TINY_SETTINGS)
-        first = SweepRunner(
-            settings=TINY_SETTINGS, prune_fraction=0.5, cache=cache
-        ).run(grid)
+        first = _pruning_runner(prune_fraction=0.5, cache=cache).run(grid)
         # A later non-pruning run re-executes only the pruned cells and
         # comes back with the survivors' persisted estimates attached.
         second = SweepRunner(settings=TINY_SETTINGS, cache=cache).run(grid)
@@ -278,13 +282,29 @@ class TestPruning:
                 assert restored is not None
                 assert restored == first.estimate_for(cell)
 
-    def test_runner_rejects_bad_prune_knobs(self):
-        with pytest.raises(ValueError, match="prune_fraction"):
-            SweepRunner(settings=TINY_SETTINGS, prune_fraction=1.0)
-        with pytest.raises(ValueError, match="prune_slo_ms"):
-            SweepRunner(settings=TINY_SETTINGS, prune_slo_ms=-5.0)
-        with pytest.raises(ValueError, match="prune_percentile"):
-            SweepRunner(settings=TINY_SETTINGS, prune_percentile=0.0)
+    def test_predicted_ties_keep_the_earlier_grid_cell(self):
+        # SLO overrides are invisible to the surrogate, so these four
+        # cells score identically; the generous targets never abort.
+        cells = [
+            SweepCell.make("samba-coe", "numa", "A1", slo_target_ms=target)
+            for target in (1e9, 2e9, 3e9, 4e9)
+        ]
+        grid = SweepGrid.union(*(SweepGrid.single(cell) for cell in cells))
+        results = _pruning_runner(prune_fraction=0.5).run(grid)
+        predicted = {results.estimate_for(cell).latency_ms(99.0) for cell in cells}
+        assert len(predicted) == 1
+        assert results.pruned_keys() == [cell.key for cell in cells[2:]]
+        for cell in cells[:2]:
+            assert not results[cell].aborted
+
+    def test_config_rejects_bad_prune_knobs(self):
+        # --prune-fraction 1.0 would keep nothing: keep_fraction 0.
+        with pytest.raises(ValueError, match="keep_fraction"):
+            HalvingConfig(rungs=1, keep_fraction=0.0)
+        with pytest.raises(ValueError, match="slo_ms"):
+            HalvingConfig(rungs=1, slo_ms=-5.0)
+        with pytest.raises(ValueError, match="percentile"):
+            HalvingConfig(rungs=1, percentile=0.0)
 
     def test_grid_union_keeps_any_requesters_pin(self):
         cell = SweepCell.make("coserve", "numa", "A1")

@@ -11,8 +11,8 @@ remaining wall time go.  Three modes:
 * ``preredesign`` — the preserved pre-PR pipeline (scalar reference
   generation + heap-seeded monolithic loop) for before/after diffs;
 * ``sweep`` — a serial multi-system sweep over one (device, task)
-  pair, optionally two-stage (``--prune-fraction``) or guided through
-  the successive-halving ladder (``--halving-rungs`` /
+  pair, optionally pruned (``--prune-fraction``, a one-rung ladder) or
+  guided through the successive-halving ladder (``--halving-rungs`` /
   ``--halving-keep-fraction``), so the split between surrogate
   scoring, shared profiling, low-fidelity rungs, and per-cell
   simulation shows up in one stats table.
@@ -151,8 +151,12 @@ def _run_sweep(
             min_requests=max(1, num_requests // 10),
         )
         HalvingRunner(settings=settings, config=config).run(grid)
+    elif prune_fraction > 0.0:
+        # The one-shot prune is a one-rung ladder.
+        config = HalvingConfig(rungs=1, keep_fraction=1.0 - prune_fraction)
+        HalvingRunner(settings=settings, config=config).run(grid)
     else:
-        SweepRunner(settings=settings, prune_fraction=prune_fraction).run(grid)
+        SweepRunner(settings=settings).run(grid)
 
 
 def main(argv=None) -> int:
@@ -170,7 +174,8 @@ def main(argv=None) -> int:
         "--prune-fraction",
         type=float,
         default=0.0,
-        help="sweep mode: surrogate-prune this fraction before simulating",
+        help="sweep mode: surrogate-prune this fraction before simulating "
+        "(a one-rung halving ladder)",
     )
     parser.add_argument(
         "--halving-rungs",
